@@ -32,8 +32,9 @@ class Table2Row:
     benchmark: str
     baseline: SweepStatistics
     stp: SweepStatistics
-    baseline_verified: bool
-    stp_verified: bool
+    #: CEC verdicts of the two outputs; ``None`` when verification was skipped.
+    baseline_verified: bool | None
+    stp_verified: bool | None
 
     @property
     def runtime_ratio(self) -> float:
@@ -129,8 +130,8 @@ def run_single_comparison(
     )
     stp_result, stp_stats = stp_engine.run()
 
-    baseline_verified = True
-    stp_verified = True
+    baseline_verified: bool | None = None
+    stp_verified: bool | None = None
     if verify:
         baseline_verified = bool(check_combinational_equivalence(network, baseline_result))
         stp_verified = bool(check_combinational_equivalence(network, stp_result))
@@ -180,7 +181,7 @@ def format_table2(rows: list[Table2Row]) -> str:
                 row.baseline.total_time,
                 row.stp.total_time,
                 row.runtime_ratio,
-                "ok" if (row.baseline_verified and row.stp_verified) else "FAIL",
+                _cec_verdict(row),
             ]
         )
     geo = [
@@ -210,15 +211,31 @@ def format_table2(rows: list[Table2Row]) -> str:
     sim_ratio = _ratio([r.stp.simulation_time for r in rows], [r.baseline.simulation_time for r in rows])
     time_ratio = geometric_mean([r.runtime_ratio for r in rows])
     summary = (
-        f"\nImp. (geom. mean, STP/baseline): SAT calls {sat_ratio:.2f}, total SAT calls {total_ratio:.2f}, "
-        f"simulation time {sim_ratio:.2f}, total runtime {time_ratio:.2f}\n"
+        f"\nImp. (geom. mean, STP/baseline): SAT calls {sat_ratio}, total SAT calls {total_ratio}, "
+        f"simulation time {sim_ratio}, total runtime {time_ratio:.2f}\n"
         f"Paper reports: SAT calls 0.09, total SAT calls 0.60, simulation time 1.99, total runtime 0.65."
     )
     return table + summary
 
 
-def _ratio(new: list[float], old: list[float]) -> float:
-    return geometric_mean([max(n, 1e-9) for n in new]) / max(geometric_mean([max(o, 1e-9) for o in old]), 1e-9)
+def _cec_verdict(row: Table2Row) -> str:
+    """The CEC column: ``skipped`` when either output went unverified."""
+    if row.baseline_verified is None or row.stp_verified is None:
+        return "skipped"
+    return "ok" if (row.baseline_verified and row.stp_verified) else "FAIL"
+
+
+def _ratio(new: list[float], old: list[float]) -> str:
+    """Formatted geometric-mean ratio of two columns, ``n/a`` when a row holds a zero.
+
+    A geometric mean over a zero has no meaningful value (clamping the zero
+    to an epsilon turns the ratio into an artefact of the epsilon), so the
+    ratio is only reported when every row of both columns is positive.
+    """
+    zero_rows = sum(1 for n, o in zip(new, old) if n <= 0 or o <= 0)
+    if zero_rows:
+        return f"n/a ({zero_rows} rows with 0)"
+    return f"{geometric_mean(new) / geometric_mean(old):.2f}"
 
 
 def main(argv: list[str] | None = None) -> int:

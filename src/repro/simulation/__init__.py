@@ -38,6 +38,7 @@ from .stp_simulator import (
     compute_pi_supports,
     compute_local_truth_tables,
     expand_truth_table,
+    function_key,
     cut_limit_for_patterns,
 )
 from .sat_guided import SatGuidedPatterns, sat_guided_patterns
@@ -68,6 +69,7 @@ __all__ = [
     "compute_pi_supports",
     "compute_local_truth_tables",
     "expand_truth_table",
+    "function_key",
     "cut_limit_for_patterns",
     "SatGuidedPatterns",
     "sat_guided_patterns",

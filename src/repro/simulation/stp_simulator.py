@@ -54,6 +54,7 @@ __all__ = [
     "compute_pi_supports",
     "compute_local_truth_tables",
     "expand_truth_table",
+    "function_key",
     "cut_limit_for_patterns",
 ]
 
@@ -389,35 +390,116 @@ def common_window_leaves(
     return leaves
 
 
-def _truth_table_bits_array(table: TruthTable) -> np.ndarray:
-    """Truth-table output bits as a uint8 numpy array (assignment 0 first)."""
-    raw = table.bits.to_bytes((table.num_bits + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[: table.num_bits]
+#: Cached masks per ``(num_vars, var)``: ``(low, keep, down, up)`` select
+#: the assignments whose bit ``var`` is 0 (``low``) and whose bits
+#: ``(var, var + 1)`` are equal, ``10`` and ``01`` (the adjacent swap).
+_VAR_MASKS: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+
+
+def _tile(pattern: int, period: int, num_vars: int) -> int:
+    """Repeat a ``period``-bit pattern over a ``num_vars``-input table."""
+    size = 1 << num_vars
+    while period < size:
+        pattern |= pattern << period
+        period *= 2
+    return pattern & ((1 << size) - 1)
+
+
+def _var_masks(num_vars: int, var: int) -> tuple[int, int, int, int]:
+    key = (num_vars, var)
+    masks = _VAR_MASKS.get(key)
+    if masks is None:
+        block = 1 << var
+        ones = (1 << block) - 1
+        low = _tile(ones, 2 * block, num_vars)
+        down = _tile(ones << block, 4 * block, num_vars)
+        up = _tile(ones << (2 * block), 4 * block, num_vars)
+        full = (1 << (1 << num_vars)) - 1
+        masks = _VAR_MASKS[key] = (low, full ^ down ^ up, down, up)
+    return masks
+
+
+def _swap_adjacent(bits: int, num_vars: int, var: int) -> int:
+    """Exchange inputs ``var`` and ``var + 1`` of a packed table (kitty's ``swap_adjacent``)."""
+    _low, keep, down, up = _var_masks(num_vars, var)
+    shift = 1 << var
+    return (bits & keep) | ((bits >> shift) & down) | ((bits << shift) & up)
+
+
+def _sort_inputs(bits: int, keys: list[int]) -> int:
+    """Bubble the inputs of a packed table into ascending ``keys`` order (in place on ``keys``)."""
+    num_vars = len(keys)
+    for end in range(num_vars - 1, 0, -1):
+        for var in range(end):
+            if keys[var] > keys[var + 1]:
+                bits = _swap_adjacent(bits, num_vars, var)
+                keys[var], keys[var + 1] = keys[var + 1], keys[var]
+    return bits
 
 
 def expand_truth_table(table: TruthTable, own_leaves: Sequence[int], window: Sequence[int]) -> TruthTable:
     """Re-express a function over a larger window of leaves.
 
     ``own_leaves`` are the leaves (e.g. PI node indices) of ``table``'s
-    inputs in order; ``window`` is a superset.  Added leaves become
-    don't-cares.  The expansion is a vectorised gather, so comparing two
-    node functions over the union of their supports costs microseconds
-    instead of a cone traversal.
+    inputs in order, in any order; ``window`` is a superset.  Added leaves
+    become don't-cares.  The expansion is integer bit arithmetic on the
+    packed table, in the style of kitty's ``extend_to``/``swap_adjacent``:
+    the own inputs are first sorted into window order on the small table,
+    the table is then stretched to the window width (the new top inputs are
+    the don't-cares), and each own input is swapped up past the
+    don't-cares to its window position, highest first.  The swap masks are
+    cached per ``(num_vars, var)``.
     """
     window_list = list(window)
     positions = {leaf: index for index, leaf in enumerate(window_list)}
     missing = [leaf for leaf in own_leaves if leaf not in positions]
     if missing:
         raise ValueError(f"window is missing leaves {missing}")
-    if len(window_list) == len(own_leaves) and list(own_leaves) == window_list:
+    targets = [positions[leaf] for leaf in own_leaves]
+    if len(targets) != table.num_vars:
+        raise ValueError(f"table has {table.num_vars} inputs, {len(targets)} leaves given")
+    num_vars = len(window_list)
+    if targets == list(range(num_vars)):
         return table
-    assignments = np.arange(1 << len(window_list), dtype=np.int64)
-    source_index = np.zeros_like(assignments)
-    for own_position, leaf in enumerate(own_leaves):
-        source_index |= ((assignments >> positions[leaf]) & 1) << own_position
-    bits = _truth_table_bits_array(table)[source_index]
-    packed = np.packbits(bits.astype(np.uint8), bitorder="little")
-    return TruthTable(len(window_list), int.from_bytes(packed.tobytes(), "little"))
+    bits = _sort_inputs(table.bits, targets)
+    for var in range(len(targets), num_vars):
+        bits |= bits << (1 << var)
+    for var in range(len(targets) - 1, -1, -1):
+        for position in range(var, targets[var]):
+            bits = _swap_adjacent(bits, num_vars, position)
+    return TruthTable(num_vars, bits)
+
+
+def function_key(table: TruthTable, leaves: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """Canonical form of a function of named leaves: functional support and shrunk table.
+
+    ``table``'s inputs are ``leaves`` in order (any order).  The key is the
+    ascending tuple of the leaves the function actually depends on, plus
+    the packed table over exactly those leaves.  Two functions of leaf
+    sets agree on every assignment of the union of their leaves exactly
+    when their keys are equal, so comparing keys replaces expanding both
+    tables onto a common window.  The complement's key keeps the leaves and
+    complements the table over ``len(leaves)`` inputs.
+
+    Inputs are sorted by leaf with adjacent swaps, then every input with
+    equal cofactors (a vacuous structural leaf) is swapped to the top and
+    cut off, highest first.
+    """
+    if len(leaves) != table.num_vars:
+        raise ValueError(f"table has {table.num_vars} inputs, {len(leaves)} leaves given")
+    order = list(leaves)
+    bits = _sort_inputs(table.bits, order)
+    num_vars = len(order)
+    for var in range(num_vars - 1, -1, -1):
+        low = _var_masks(num_vars, var)[0]
+        if (bits >> (1 << var)) & low != bits & low:
+            continue
+        for position in range(var, num_vars - 1):
+            bits = _swap_adjacent(bits, num_vars, position)
+        num_vars -= 1
+        bits &= (1 << (1 << num_vars)) - 1
+        del order[var]
+    return tuple(order), bits
 
 
 def compute_local_truth_tables(
@@ -427,10 +509,13 @@ def compute_local_truth_tables(
 ) -> dict[int, TruthTable | None]:
     """Function of every node over its own PI support, in one bottom-up pass.
 
-    Nodes whose support exceeds ``max_support`` map to ``None``.  This is
-    the precomputation behind the sweeper's exhaustive window refinement:
-    any two nodes whose supports jointly fit in ``max_support`` leaves can
-    afterwards be compared exhaustively with two cheap expansions, no cone
+    Nodes whose support exceeds ``max_support`` map to ``None``.  Each
+    node's table is the AND of its fanin tables, stretched onto the node's
+    support by the integer :func:`expand_truth_table`.  A table is a global
+    function of the node's PI support, so this is the precomputation behind
+    the sweeper's exhaustive window refinement: any two nodes whose
+    supports jointly fit in ``max_support`` leaves are afterwards compared
+    exhaustively by their :func:`function_key`, with no expansion, no cone
     traversal and no SAT call.
     """
     if supports is None:

@@ -12,18 +12,29 @@ paper calls out:
    candidate's generalised (polarity-merged) equivalence class, ordered and
    bounded through the transitive-fanin manager (lines 10-17).
 4. *STP-based exhaustive refinement*: before a SAT query is issued for a
-   (candidate, driver) pair, the pair's functions are computed exhaustively
-   over a common window of at most ``window_leaves`` leaves using the
-   STP-based simulator; a mismatch disproves the candidate equivalence with
-   no SAT call at all, and every SAT counter-example is likewise propagated
-   only through the nodes that still sit in equivalence classes
-   (Section IV-A, "Refinement using STP-based Simulation").
+   (candidate, driver) pair, the pair's functions are compared exhaustively
+   over a common window of at most ``window_leaves`` leaves; a mismatch
+   disproves the candidate equivalence with no SAT call at all, and every
+   SAT counter-example is likewise propagated only through the nodes that
+   still sit in equivalence classes (Section IV-A, "Refinement using
+   STP-based Simulation").  The STP simulator's per-node local table is a
+   global function of the node's PI support, so the comparison needs no
+   expansion onto the window: each node gets a :func:`function_key`
+   (functional-support leaves plus the table shrunk onto them) once, the
+   pair check compares two keys (complementing one for inverted
+   polarity), and the window bound is a popcount over PI-support
+   bitmasks.
+
+A window disproof changes neither the classes nor the don't-touch marks
+nor the network, so each candidate walks one ordered driver list per
+class state; the list is rebuilt only after a SAT counter-example has
+refined the classes.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from ..networks.aig import Aig, LIT_FALSE
 from ..sat.circuit import CircuitSolver, EquivalenceStatus
@@ -34,6 +45,7 @@ from ..simulation.stp_simulator import (
     compute_local_truth_tables,
     compute_pi_supports,
     expand_truth_table,
+    function_key,
 )
 from ..truthtable import TruthTable
 from .constant_prop import propagate_constant_candidates
@@ -45,6 +57,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
     from ..resilience import Budget
 
 __all__ = ["StpSweeper", "stp_sweep"]
+
+
+class _WindowKey(NamedTuple):
+    """Exhaustive-window identity of one node's local function."""
+
+    #: Structural PI support as a bitmask over PI node indices.
+    pi_mask: int
+    #: Functional support and the table over it (see :func:`function_key`).
+    leaves: tuple[int, ...]
+    bits: int
+    #: All-ones table over ``leaves``: ``bits ^ full`` is the complement.
+    full: int
 
 
 class StpSweeper:
@@ -108,6 +132,7 @@ class StpSweeper:
         # invalidated during the sweep.
         sim_start = time.perf_counter()
         self._supports = compute_pi_supports(aig, self.window_leaves)
+        self._keys: dict[int, _WindowKey | None] = {}
         if self.use_exhaustive_refinement:
             self._local_tables = compute_local_truth_tables(aig, self.window_leaves, self._supports)
         else:
@@ -229,7 +254,7 @@ class StpSweeper:
         stats: SweepStatistics,
     ) -> None:
         """Lines 10-31 of Algorithm 2 for one candidate gate."""
-        disproved_pairs: set[tuple[int, int]] = set()
+        disproved: set[int] = set()
         while True:
             cls = classes.class_of(candidate)
             if cls is None or cls.is_singleton():
@@ -237,84 +262,103 @@ class StpSweeper:
 
             # lines 10-11: the generalised class, sorted topologically; the
             # TFI manager then orders drivers (bounded-TFI members first).
-            drivers = [
-                member
-                for member in cls.members
-                if member != candidate
-                and member not in merged
-                and (candidate, member) not in disproved_pairs
-                and member < candidate
-            ]
-            drivers = tfi.order_drivers(candidate, drivers)
-            if 0 in cls.members and candidate != 0 and (candidate, 0) not in disproved_pairs:
+            # The list stays valid until a counter-example refines the class.
+            drivers = tfi.order_drivers(
+                candidate,
+                [m for m in cls.members if m < candidate and m not in merged and m not in disproved],
+            )
+            if 0 in drivers:
                 drivers = [0] + [d for d in drivers if d != 0]
-            driver = None
-            for possible in drivers:
+            for driver in drivers:
                 # lines 15-17: driver checks -- don't-touch and structural
                 # legality (no combinational cycle).
-                if classes.is_dont_touch(possible):
+                if classes.is_dont_touch(driver):
                     continue
-                if possible != 0 and not tfi.is_legal_merge(candidate, possible):
+                if driver != 0 and not tfi.is_legal_merge(candidate, driver):
                     continue
-                driver = possible
-                break
-            if driver is None:
-                return
-            inverted = classes.relative_polarity(candidate, driver)
-            driver_literal = Aig.literal(driver, inverted) if driver != 0 else (LIT_FALSE ^ int(inverted))
-
-            # Constant-class candidates: an exhaustive local function that is
-            # not constant disproves the candidate without SAT.
-            if self.use_exhaustive_refinement and driver == 0:
-                local = self._local_tables.get(candidate)
-                if local is not None and not local.is_constant():
+                inverted = classes.relative_polarity(candidate, driver)
+                if self._window_disproves(candidate, driver, inverted, window_covered, stats):
+                    # Disproved locally -- no SAT call needed for this pair.
                     stats.simulation_disproofs += 1
-                    disproved_pairs.add((candidate, 0))
+                    disproved.add(driver)
                     continue
+                driver_literal = Aig.literal(driver, inverted) if driver != 0 else (LIT_FALSE ^ int(inverted))
 
-            # Pairwise exhaustive check for pairs the one-time class-level
-            # refinement could not cover (window too wide for the whole
-            # class); if both nodes were covered there, the pair is already
-            # known to agree on the window and the SAT call will be cheap.
-            pair_covered = candidate in window_covered and driver in window_covered
-            if self.use_exhaustive_refinement and driver != 0 and not pair_covered:
+                # line 18: the SAT query.
+                outcome = solver.prove_equivalence(Aig.literal(candidate), driver_literal, self.conflict_limit)
+                if outcome.status is EquivalenceStatus.UNDETERMINED:
+                    # lines 19-22: mark don't-touch and give up on this gate.
+                    classes.mark_dont_touch(candidate)
+                    classes.remove(candidate)
+                    return
+                if outcome.status is EquivalenceStatus.EQUIVALENT:
+                    # lines 23-24: substitute and stop processing this gate.
+                    aig.substitute(candidate, driver_literal)
+                    classes.remove(candidate)
+                    merged.add(candidate)
+                    tfi.invalidate_node(candidate)
+                    stats.merges += 1
+                    if driver == 0:
+                        stats.constant_merges += 1
+                    return
+                # lines 25-28: counter-example; simulation restricted to the
+                # nodes that still sit in equivalence classes, then refinement.
+                assert outcome.counterexample is not None
                 sim_start = time.perf_counter()
-                pair_tables = self._window_tables([candidate, driver])
+                refine_with_counterexample(aig, classes, simulator, outcome.counterexample)
                 stats.simulation_time += time.perf_counter() - sim_start
-                if pair_tables is not None:
-                    candidate_table = pair_tables[candidate]
-                    driver_table = ~pair_tables[driver] if inverted else pair_tables[driver]
-                    if candidate_table != driver_table:
-                        # Disproved locally -- no SAT call needed for this pair.
-                        stats.simulation_disproofs += 1
-                        disproved_pairs.add((candidate, driver))
-                        continue
-
-            # line 18: the SAT query.
-            outcome = solver.prove_equivalence(Aig.literal(candidate), driver_literal, self.conflict_limit)
-            if outcome.status is EquivalenceStatus.UNDETERMINED:
-                # lines 19-22: mark don't-touch and give up on this gate.
-                classes.mark_dont_touch(candidate)
-                classes.remove(candidate)
+                stats.counterexamples_simulated += 1
+                break
+            else:
                 return
-            if outcome.status is EquivalenceStatus.EQUIVALENT:
-                # lines 23-24: substitute and stop processing this gate.
-                aig.substitute(candidate, driver_literal)
-                classes.remove(candidate)
-                merged.add(candidate)
-                tfi.invalidate_node(candidate)
-                stats.merges += 1
-                if driver == 0:
-                    stats.constant_merges += 1
-                return
-            # lines 25-28: counter-example; simulation restricted to the
-            # nodes that still sit in equivalence classes, then refinement.
-            assert outcome.counterexample is not None
-            sim_start = time.perf_counter()
-            refine_with_counterexample(aig, classes, simulator, outcome.counterexample)
-            stats.simulation_time += time.perf_counter() - sim_start
-            stats.counterexamples_simulated += 1
 
+    def _window_disproves(
+        self,
+        candidate: int,
+        driver: int,
+        inverted: bool,
+        window_covered: set[int],
+        stats: SweepStatistics,
+    ) -> bool:
+        """True if the exhaustive local functions prove ``candidate != driver ^ inverted``.
+
+        Constant-class candidates are disproved by a non-constant local
+        function.  Other pairs are compared by their function keys, unless
+        the one-time class-level refinement already covered both nodes (they
+        are then known to agree on a common window and the SAT call will be
+        cheap) or their supports jointly exceed ``window_leaves``.
+        """
+        if not self.use_exhaustive_refinement:
+            return False
+        if driver == 0:
+            local = self._local_tables.get(candidate)
+            return local is not None and not local.is_constant()
+        if candidate in window_covered and driver in window_covered:
+            return False
+        sim_start = time.perf_counter()
+        ours, theirs = self._window_key(candidate), self._window_key(driver)
+        differ = (
+            ours is not None
+            and theirs is not None
+            and (ours.pi_mask | theirs.pi_mask).bit_count() <= self.window_leaves
+            and (ours.leaves != theirs.leaves or ours.bits != theirs.bits ^ (theirs.full if inverted else 0))
+        )
+        stats.simulation_time += time.perf_counter() - sim_start
+        return differ
+
+    def _window_key(self, node: int) -> _WindowKey | None:
+        """The node's function key and PI-support bitmask, built once on first use."""
+        if node in self._keys:
+            return self._keys[node]
+        support = self._supports.get(node)
+        local = self._local_tables.get(node)
+        key: _WindowKey | None = None
+        if support is not None and local is not None:
+            leaves, bits = function_key(local, support)
+            pi_mask = sum(1 << leaf for leaf in support)
+            key = _WindowKey(pi_mask, leaves, bits, (1 << (1 << len(leaves))) - 1)
+        self._keys[node] = key
+        return key
 
     # ------------------------------------------------------------------
 

@@ -23,6 +23,10 @@ Incremental-engine design
   that contain the merged node (its TFO roots), instead of clearing the
   whole cache after every merge; cones built for unrelated regions of the
   network survive across merges.
+* :meth:`TfiManager.order_drivers` does not build the candidate's cone.
+  It walks the same bounded breadth-first order and stops as soon as
+  every driver has been seen, so a driver close to the candidate costs a
+  handful of node visits instead of ``limit``.
 """
 
 from __future__ import annotations
@@ -95,9 +99,38 @@ class TfiManager:
         The paper inspects the TFI cones of the class members to maximise
         the quality of result; drivers that already sit in the candidate's
         bounded fanin cone are structurally closest and are tried first.
+
+        The result equals ``sorted(drivers, key=lambda d: (d not in
+        bounded_tfi(candidate), d))``, but the cone is never materialised:
+        with at most one driver there is nothing to order, and otherwise the
+        same breadth-first walk as :meth:`bounded_tfi` runs only until every
+        driver has been seen or ``limit`` nodes were visited, whichever
+        comes first.
         """
-        tfi = self.bounded_tfi(candidate)
-        return sorted(drivers, key=lambda d: (d not in tfi, d))
+        if len(drivers) <= 1:
+            return list(drivers)
+        pending = set(drivers)
+        # The walk of Aig.tfi, reading fanins straight from the node array.
+        entries = self.aig.node_entries
+        first_gate = self.aig.num_pis + 1
+        seen: set[int] = set()
+        frontier = [candidate]
+        cursor = 0
+        while cursor < len(frontier) and pending:
+            node = frontier[cursor]
+            cursor += 1
+            if node in seen:
+                continue
+            seen.add(node)
+            pending.discard(node)
+            if len(seen) >= self.limit:
+                break
+            if node >= first_gate:
+                entry = entries[node]
+                for fanin in (entry.fanin0 >> 1, entry.fanin1 >> 1):
+                    if fanin not in seen:
+                        frontier.append(fanin)
+        return sorted(drivers, key=lambda d: (d not in seen, d))
 
     def invalidate_node(self, node: int) -> None:
         """Drop only the cached cones invalidated by merging ``node``.

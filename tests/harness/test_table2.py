@@ -1,5 +1,7 @@
 """Tests for the Table II harness (one small workload for speed)."""
 
+import copy
+
 import pytest
 
 from repro.circuits.arithmetic import ripple_carry_adder
@@ -36,6 +38,35 @@ class TestSingleComparison:
         assert "tiny" in text
         assert "Imp." in text
         assert "ok" in text
+
+
+class TestCecColumn:
+    def test_unverified_row_prints_skipped(self):
+        base = ripple_carry_adder(width=4, name="unverified")
+        workload, _ = inject_redundancy(base, duplication_fraction=0.25, constant_cones=1, seed=33)
+        row = run_single_comparison(workload, num_patterns=32, verify=False)
+        assert row.baseline_verified is None and row.stp_verified is None
+        line = next(line for line in format_table2([row]).splitlines() if "unverified" in line)
+        assert "skipped" in line
+        assert "ok" not in line
+
+    def test_verified_row_prints_ok(self, small_row):
+        line = next(line for line in format_table2([small_row]).splitlines() if "tiny" in line)
+        assert line.rstrip().endswith("ok")
+
+
+class TestImprovementSummary:
+    def test_zero_count_column_prints_not_available(self, small_row):
+        zero = copy.deepcopy(small_row)
+        zero.stp.satisfiable_sat_calls = 0
+        text = format_table2([small_row, zero])
+        assert "SAT calls n/a (1 rows with 0)" in text
+        assert "SAT calls 0.00" not in text
+
+    def test_positive_columns_print_the_ratio(self, small_row):
+        text = format_table2([small_row])
+        ratio = small_row.stp.total_sat_calls / small_row.baseline.total_sat_calls
+        assert f"total SAT calls {ratio:.2f}," in text
 
 
 class TestRunTable2:
