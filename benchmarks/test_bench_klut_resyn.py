@@ -9,8 +9,9 @@ Two groups:
   strictly fewer LUTs than ``map`` alone on **at least half** of the
   bundled EPFL workloads (and never more on any), with every
   resynthesised network verified against its source AIG by word-parallel
-  simulation.  Running this target regenerates ``BENCH_klut_resyn.json``
-  in the repository root with the per-workload numbers.
+  simulation.  Running this target with ``--benchmark-enable``
+  regenerates ``BENCH_klut_resyn.json`` in the repository root
+  with the per-workload numbers.
 """
 
 from __future__ import annotations
@@ -141,6 +142,11 @@ def test_bench_lutmffc_beats_map_only_suite(benchmark):
     assert strictly_better >= len(rows) // 2, (
         f"lutmffc strictly better on only {strictly_better}/{len(rows)} workloads"
     )
+
+    if benchmark.disabled:
+        # A plain test run checks the assertions above and leaves the
+        # recorded numbers alone.
+        return
 
     record = {
         "benchmark": "mapped-network-mffc-resynthesis",

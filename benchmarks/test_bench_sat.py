@@ -12,8 +12,9 @@ Three groups:
 * the flow-level acceptance measurement: fraig with the persistent
   window produces **bit-identical** networks to the fresh-encode oracle
   on every bundled EPFL workload while encoding each cone once instead
-  of once per query.  Running this target regenerates ``BENCH_sat.json``
-  in the repository root with the per-workload before/after numbers.
+  of once per query.  Running this target with ``--benchmark-enable``
+  regenerates ``BENCH_sat.json`` in the repository root
+  with the per-workload before/after numbers.
 """
 
 from __future__ import annotations
@@ -215,6 +216,11 @@ def test_bench_persistent_window_fraig_suite(benchmark):
         if row["sat_calls"] >= 10:
             reuse = row["window_reuses"] / max(1, row["window_reuses"] + row["windows_opened"])
             assert reuse > 0.9, f"{name}: window reuse rate only {reuse:.2f}"
+
+    if benchmark.disabled:
+        # A plain test run checks the assertions above and leaves the
+        # recorded numbers alone.
+        return
 
     record = {
         "benchmark": "persistent-incremental-sat-core",

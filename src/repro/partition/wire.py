@@ -1,4 +1,4 @@
-"""Compact binary wire format for region sub-networks, plus the batcher.
+"""Compact binary wire format for region sub-networks.
 
 The PR 9 data path serialized every region as AIGER *text* -- readable,
 but a million-gate run pays a text render, a text parse, and a Python
@@ -21,12 +21,6 @@ Because an extracted region is already strashed and topologically
 ordered, the replay reproduces the *identical* node numbering: a
 decode of an encode is structurally bit-for-bit the original, which the
 wire fuzz suite asserts.
-
-:func:`plan_batches` is the byte-budget batcher: many small regions are
-packed into one worker job so the per-job IPC round-trip amortizes,
-while the budget (and a minimum batch count derived from the worker
-count) keeps any single batch from serializing a whole wave behind one
-slow job.
 """
 
 from __future__ import annotations
@@ -43,7 +37,6 @@ __all__ = [
     "encode_region",
     "decode_region",
     "wire_counts",
-    "plan_batches",
 ]
 
 #: First four bytes of every encoded region.
@@ -147,40 +140,3 @@ def decode_region(
             raise ValueError(f"PO {index} references literal {literal} beyond the network")
         sub.add_po(literal, po_names[index] if po_names is not None else f"o{index}")
     return sub
-
-
-def plan_batches(
-    sizes: Sequence[int], byte_budget: int, min_batches: int = 1
-) -> list[list[int]]:
-    """Pack item indices into contiguous batches under a byte budget.
-
-    ``sizes[i]`` is the wire size of item ``i``; the returned batches
-    partition ``range(len(sizes))`` in order (contiguity keeps the
-    region-index merge order trivially aligned with the dispatch order).
-    The *effective* budget is the smaller of ``byte_budget`` and an even
-    ``min_batches``-way split of the total, so a small workload still
-    fans out across the worker pool instead of collapsing into one giant
-    batch -- the wave-latency balance half of the batcher.  An item
-    larger than the budget gets a batch of its own.
-    """
-    if byte_budget < 1:
-        raise ValueError(f"byte_budget must be >= 1, got {byte_budget}")
-    if min_batches < 1:
-        raise ValueError(f"min_batches must be >= 1, got {min_batches}")
-    if not sizes:
-        return []
-    total = sum(sizes)
-    effective = min(byte_budget, max(1, -(-total // min_batches)))
-    batches: list[list[int]] = []
-    current: list[int] = []
-    current_bytes = 0
-    for index, size in enumerate(sizes):
-        if current and current_bytes + size > effective:
-            batches.append(current)
-            current = []
-            current_bytes = 0
-        current.append(index)
-        current_bytes += size
-    if current:
-        batches.append(current)
-    return batches

@@ -1,14 +1,11 @@
-"""The per-region and per-batch jobs a partition worker executes.
+"""The per-region job a partition worker executes.
 
 :func:`run_region_job` is a plain module-level function over a plain
 JSON/pickle-able payload dict, so the same code runs identically in a
 spawned ``ProcessPoolExecutor``, in a thread pool, and inline in the
 parent (``jobs=1``) -- the inline path IS the deterministic reference
-the determinism tests compare the pools against.
-:func:`run_batch_job` runs a list of such payloads sequentially inside
-one worker job (the IPC-amortizing batch path) and
-:func:`run_partition_job` is the single entry point the executors
-submit, routing on the payload shape.
+the determinism tests compare the pools against.  Every executor
+submits it directly, one job per region.
 
 The worker parses the serialized region -- compact binary wire bytes
 (``"wire"``, the scale path: no AAG text render or parse on either
@@ -38,12 +35,8 @@ Fault hooks (``fault`` payload key) drive the chaos suite:
                 verification, never in the merged result
 =============== ==========================================================
 
-Inside a batch, the *soft* faults (``crash-soft``, ``exception``) are
-contained to their own entry -- :func:`run_batch_job` catches per entry,
-so one bad region never takes its batch-mates down.  The *hard* faults
-(``crash`` kills the process, ``timeout`` hangs it) necessarily cost
-the whole batch; the executor layer shrinks the ``crash`` blast radius
-back to one region by retrying the batch entries one at a time.
+Because a job is exactly one region, every fault -- soft or hard --
+costs exactly that region.
 """
 
 from __future__ import annotations
@@ -62,8 +55,6 @@ __all__ = [
     "SimulatedWorkerCrash",
     "warm_partition_worker",
     "run_region_job",
-    "run_batch_job",
-    "run_partition_job",
 ]
 
 
@@ -210,35 +201,3 @@ def run_region_job(payload: Mapping[str, Any]) -> dict[str, Any]:
     else:
         result["aag"] = write_aiger(optimized).decode("ascii")
     return result
-
-
-def run_batch_job(payload: Mapping[str, Any]) -> dict[str, Any]:
-    """Run a batch of region payloads sequentially inside one worker job.
-
-    Soft failures are contained per entry: an exception escaping one
-    region job (the chaos suite's ``crash-soft``/``exception`` faults)
-    becomes that entry's ``worker_crashed`` outcome and its batch-mates
-    still run.  Only hard death (``os._exit``) or a hang takes the
-    whole batch -- that bounded blast radius is exactly what the
-    mid-batch chaos tests assert.
-    """
-    results: list[dict[str, Any]] = []
-    for entry in payload["batch"]:
-        try:
-            results.append(run_region_job(entry))
-        except Exception as error:
-            results.append(
-                {
-                    "region": int(entry.get("region", -1)),
-                    "status": "worker_crashed",
-                    "message": f"{type(error).__name__}: {error}",
-                }
-            )
-    return {"batch": True, "results": results}
-
-
-def run_partition_job(payload: Mapping[str, Any]) -> dict[str, Any]:
-    """The single executor entry point: route on the payload shape."""
-    if "batch" in payload:
-        return run_batch_job(payload)
-    return run_region_job(payload)

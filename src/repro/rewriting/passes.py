@@ -293,23 +293,16 @@ class PpartSpec:
     #: windows share one persistent solver inside each worker.  ``None``
     #: keeps the sweepers' own default.
     window: int | None = None
-    #: Wire-batch byte budget (``batch=N``): regions are packed into
-    #: worker batches of roughly this many payload bytes; ``0`` disables
-    #: batching (one dispatch per region).  ``None`` keeps the driver
-    #: default.
-    batch: int | None = None
 
     def canonical(self) -> str:
-        # The optional knobs are emitted only when set, so scripts
-        # written before they existed render byte-identically.
+        # The optional window is emitted only when set, so scripts
+        # written before it existed render byte-identically.
         options = (
             f",jobs={self.jobs},max_gates={self.max_gates},"
             f"strategy={self.strategy},merge={self.merge}"
         )
         if self.window is not None:
             options += f",window={self.window}"
-        if self.batch is not None:
-            options += f",batch={self.batch}"
         return f"ppart({';'.join(self.passes)}{options})"
 
 
@@ -332,8 +325,8 @@ def parse_ppart(token: str) -> PpartSpec:
     may remain -- the regions a worker optimizes are AIGs with a frozen
     boundary) and the options are ``jobs`` (worker count), ``max_gates``
     (region size cap), ``strategy`` (``window`` / ``level``), ``merge``
-    (``substitute`` / ``choice``), ``window`` (per-region solver window,
-    >= 1) and ``batch`` (wire-batch byte budget, 0 disables batching).
+    (``substitute`` / ``choice``) and ``window`` (per-region solver
+    window, >= 1).
     Nested ``ppart`` is rejected.
     """
     text = token.strip().lower()
@@ -351,7 +344,6 @@ def parse_ppart(token: str) -> PpartSpec:
     pass_tokens: list[str] = []
     jobs, max_gates, strategy, merge = 1, 400, "window", "substitute"
     window: int | None = None
-    batch: int | None = None
     for part in (p.strip() for p in inner.replace(";", ",").split(",")):
         if not part:
             continue
@@ -372,12 +364,10 @@ def parse_ppart(token: str) -> PpartSpec:
                 merge = value
             elif key == "window":
                 window = _ppart_int(key, value, 1)
-            elif key == "batch":
-                batch = _ppart_int(key, value, 0)
             else:
                 raise ValueError(
                     f"unknown ppart option {key!r} "
-                    "(expected jobs, max_gates, strategy, merge, window, batch)"
+                    "(expected jobs, max_gates, strategy, merge, window)"
                 )
         else:
             pass_tokens.append(part)
@@ -399,7 +389,6 @@ def parse_ppart(token: str) -> PpartSpec:
         strategy=strategy,
         merge=merge,
         window=window,
-        batch=batch,
     )
 
 
@@ -1014,7 +1003,6 @@ class PassManager:
             # The token's own knobs win; otherwise the flow-level solver
             # window applies inside each region worker too.
             window_size=spec.window if spec.window is not None else self.window_size,
-            batch_bytes=spec.batch,
         )
         return result, report.as_details(), report.partition_dicts()
 

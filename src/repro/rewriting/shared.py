@@ -30,10 +30,14 @@ which is exactly the ``("leaf", 0, literal)`` /
 reconstructed on access.  The section table (arity, offset, count) rides
 in the descriptor, not the blob.
 
-The attach side unregisters the segment from the child's
-``resource_tracker`` (or opens it with ``track=False`` where supported):
-the parent owns the segment's lifetime and unlinks it at exit; a child
-exiting must not tear it down under its siblings.
+The parent owns the segment's lifetime and unlinks it at exit.  Spawned
+workers share the parent's ``resource_tracker``, so the attach side
+leaves the parent's registration alone: on Python < 3.13 attaching
+re-registers the name, which the tracker's per-type set absorbs, and a
+child exiting never unlinks it (the tracker cleans up only when every
+process sharing it is gone).  Unregistering from a child would drop the
+parent's entry, and the parent's own unlink at exit would then make the
+tracker print a ``KeyError`` traceback.
 """
 
 from __future__ import annotations
@@ -267,17 +271,6 @@ def _attach_buffer(descriptor: SharedLibraryDescriptor) -> "tuple[Any, memoryvie
                 segment = shared_memory.SharedMemory(name=descriptor.name, track=False)
             except TypeError:  # Python < 3.13: no track parameter
                 segment = shared_memory.SharedMemory(name=descriptor.name)
-                # Work around the attach side registering the segment
-                # with its own resource_tracker: the parent owns the
-                # lifetime; a child exiting must not unlink it.
-                try:
-                    from multiprocessing import resource_tracker
-
-                    resource_tracker.unregister(
-                        getattr(segment, "_name", descriptor.name), "shared_memory"
-                    )
-                except Exception:  # pragma: no cover - tracker internals moved
-                    pass
         except Exception:
             return None
         return segment, memoryview(segment.buf)[: descriptor.size]

@@ -153,7 +153,6 @@ class FraigSweeper:
                     aig.substitute(candidate, driver_literal)
                     classes.remove(candidate)
                     merged.add(candidate)
-                    tfi.invalidate_node(candidate)
                     stats.merges += 1
                     if driver == 0:
                         stats.constant_merges += 1

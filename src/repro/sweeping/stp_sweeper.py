@@ -296,7 +296,6 @@ class StpSweeper:
                     aig.substitute(candidate, driver_literal)
                     classes.remove(candidate)
                     merged.add(candidate)
-                    tfi.invalidate_node(candidate)
                     stats.merges += 1
                     if driver == 0:
                         stats.constant_merges += 1

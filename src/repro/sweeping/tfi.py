@@ -2,10 +2,11 @@
 
 Algorithm 2 bounds the number of nodes inspected in the transitive fanin
 of a class member when searching for a merge driver (``n = 1000`` in the
-paper, line 1).  The manager caches bounded TFI cones and answers the two
-questions the sweeper asks: "which drivers are reachable within the
-budget?" and "is this merge structurally legal?" (a driver inside the
-candidate's transitive fanout would create a combinational cycle).
+paper, line 1).  The manager answers the two questions the sweeper asks
+straight from the live network, without storing any cone: "which drivers
+are reachable within the budget?" and "is this merge structurally
+legal?" (a driver inside the candidate's transitive fanout would create
+a combinational cycle).
 
 Incremental-engine design
 -------------------------
@@ -19,10 +20,6 @@ Incremental-engine design
   never expanded, because its entire TFI sits at strictly smaller
   positions -- so only the nodes strictly between the candidate and the
   driver in topological position are ever visited.
-* :meth:`TfiManager.invalidate_node` drops only the cached bounded cones
-  that contain the merged node (its TFO roots), instead of clearing the
-  whole cache after every merge; cones built for unrelated regions of the
-  network survive across merges.
 * :meth:`TfiManager.order_drivers` does not build the candidate's cone.
   It walks the same bounded breadth-first order and stops as soon as
   every driver has been seen, so a driver close to the candidate costs a
@@ -39,24 +36,13 @@ __all__ = ["TfiManager"]
 
 
 class TfiManager:
-    """Caches bounded TFI/TFO cones of one AIG."""
+    """Answers bounded-TFI driver ordering and merge legality for one AIG."""
 
     def __init__(self, aig: Aig, limit: int = 1000) -> None:
         if limit < 1:
             raise ValueError("TFI node limit must be positive")
         self.aig = aig
         self.limit = limit
-        self._tfi_cache: dict[int, frozenset[int]] = {}
-
-    def bounded_tfi(self, node: int) -> frozenset[int]:
-        """Up to ``limit`` nodes of the transitive fanin of ``node`` (node included)."""
-        if node not in self._tfi_cache:
-            self._tfi_cache[node] = frozenset(self.aig.tfi([node], limit=self.limit))
-        return self._tfi_cache[node]
-
-    def in_bounded_tfi(self, node: int, of: int) -> bool:
-        """True if ``node`` lies within the bounded TFI cone of ``of``."""
-        return node in self.bounded_tfi(of)
 
     def is_legal_merge(self, candidate: int, driver: int) -> bool:
         """True if substituting ``candidate`` by ``driver`` cannot create a cycle.
@@ -101,9 +87,10 @@ class TfiManager:
         bounded fanin cone are structurally closest and are tried first.
 
         The result equals ``sorted(drivers, key=lambda d: (d not in
-        bounded_tfi(candidate), d))``, but the cone is never materialised:
-        with at most one driver there is nothing to order, and otherwise the
-        same breadth-first walk as :meth:`bounded_tfi` runs only until every
+        cone, d))`` with ``cone = aig.tfi([candidate], limit=limit)``, but
+        the cone is never materialised: with at most one driver there is
+        nothing to order, and otherwise the same breadth-first walk as
+        :meth:`~repro.networks.aig.Aig.tfi` runs only until every
         driver has been seen or ``limit`` nodes were visited, whichever
         comes first.
         """
@@ -131,20 +118,3 @@ class TfiManager:
                     if fanin not in seen:
                         frontier.append(fanin)
         return sorted(drivers, key=lambda d: (d not in seen, d))
-
-    def invalidate_node(self, node: int) -> None:
-        """Drop only the cached cones invalidated by merging ``node``.
-
-        A substitution of ``node`` changes exactly the fanin cones that
-        contained it (the cones rooted in its transitive fanout); cones of
-        unrelated nodes stay valid and survive the merge.  O(cached
-        entries) set-membership tests, instead of a full cache drop.
-        """
-        cache = self._tfi_cache
-        stale = [root for root, cone in cache.items() if node in cone]
-        for root in stale:
-            del cache[root]
-
-    def invalidate(self) -> None:
-        """Drop all cached cones (after an arbitrary network modification)."""
-        self._tfi_cache.clear()

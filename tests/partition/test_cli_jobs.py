@@ -105,7 +105,7 @@ def test_optimize_jobs_rejects_garbage_strings(workload_file, capsys):
     assert "auto" in capsys.readouterr().err
 
 
-def test_optimize_partition_window_and_batch_flags(workload_file, tmp_path, capsys):
+def test_optimize_partition_window_flag(workload_file, tmp_path, capsys):
     stats_path = tmp_path / "stats.json"
     code = optimize_main(
         [
@@ -118,22 +118,25 @@ def test_optimize_partition_window_and_batch_flags(workload_file, tmp_path, caps
             "60",
             "--partition-window",
             "2",
-            "--partition-batch-bytes",
-            "0",
             "--stats-json",
             str(stats_path),
         ]
     )
     captured = capsys.readouterr()
     assert code == 0
-    # The knobs land in the wrapped ppart token the CLI echoes...
+    # The knob lands in the wrapped ppart token the CLI echoes...
     assert "window=2" in captured.out
-    assert "batch=0" in captured.out
     stats = json.loads(stats_path.read_text())
     ppart = stats["passes"][0]
     details = ppart["details"]
-    # ...and batching disabled means one dispatch per region job.
-    dispatched = [p for p in ppart["partitions"] if p["status"] != "skipped"]
+    # ...and every region with outputs is one dispatch job.
+    dispatched = [p for p in ppart["partitions"] if p["outputs"]]
     assert int(details["ppart_batches"]) == len(dispatched)
     assert int(details["ppart_wire_bytes"]) > 0
     assert stats["verified"] is True
+
+
+def test_optimize_rejects_the_removed_batch_option(workload_file, capsys):
+    code = optimize_main([workload_file, "--script", "ppart(rw, batch=0)"])
+    assert code == 2
+    assert "unknown ppart option 'batch'" in capsys.readouterr().err

@@ -50,7 +50,6 @@ def test_ppart_token_round_trips_through_parse_script() -> None:
         "ppart(rw, jobs=0)",  # jobs below 1
         "ppart(rw, max_gates=1)",  # region cap below 2
         "ppart(rw, window=0)",  # solver window below 1
-        "ppart(rw, batch=-1)",  # negative byte budget (0 = disabled is fine)
         "ppart(rw, window=big)",  # non-integer window
         "ppart(rw, strategy=diagonal)",  # unknown strategy
         "ppart(rw, merge=overwrite)",  # unknown merge mode
@@ -67,37 +66,35 @@ def test_invalid_ppart_scripts_are_rejected(script: str) -> None:
         parse_script(script)
 
 
-def test_parse_ppart_window_and_batch_knobs() -> None:
-    spec = parse_ppart("ppart(rw; rf, jobs=2, window=8, batch=4096)")
+def test_parse_ppart_window_knob() -> None:
+    spec = parse_ppart("ppart(rw; rf, jobs=2, window=8)")
     assert spec.window == 8
-    assert spec.batch == 4096
-    # Round trip: canonical emits the knobs only when set...
+    # Round trip: canonical emits the knob only when set.
     assert ",window=8" in spec.canonical()
-    assert ",batch=4096" in spec.canonical()
     assert parse_ppart(spec.canonical()) == spec
-    # ...and batch=0 (batching disabled) survives the round trip too.
-    disabled = parse_ppart("ppart(rw, batch=0)")
-    assert disabled.batch == 0
-    assert parse_ppart(disabled.canonical()) == disabled
+
+
+def test_ppart_batch_option_is_unknown() -> None:
+    # Every region is one dispatch job; there is no batching knob.
+    with pytest.raises(ValueError, match="unknown ppart option 'batch'"):
+        parse_ppart("ppart(rw, batch=0)")
 
 
 def test_ppart_canonical_without_knobs_is_unchanged() -> None:
     # The default token must stay byte-stable across releases: unset
-    # window/batch knobs never appear in the canonical form.
+    # window knob never appears in the canonical form.
     spec = parse_ppart("ppart(rw; rf, jobs=4)")
-    assert spec.window is None and spec.batch is None
+    assert spec.window is None
     assert spec.canonical() == "ppart(rw;rf,jobs=4,max_gates=400,strategy=window,merge=substitute)"
 
 
-def test_wrap_script_emits_window_and_batch_only_when_set() -> None:
-    script, wrapped = wrap_script_with_jobs("rw; map", 2, window=6, batch=0)
+def test_wrap_script_emits_window_only_when_set() -> None:
+    script, wrapped = wrap_script_with_jobs("rw; map", 2, window=6)
     assert wrapped
     token = parse_script(script)[0]
     assert ",window=6" in token
-    assert ",batch=0" in token
     plain, _ = wrap_script_with_jobs("rw; map", 2)
     assert ",window=" not in plain  # strategy=window is not the knob
-    assert ",batch=" not in plain
 
 
 def test_ppart_cannot_run_on_a_mapped_network() -> None:
@@ -149,20 +146,22 @@ def test_pass_manager_runs_ppart_and_reports_partitions() -> None:
     assert "partitions" not in flow.passes[1].as_dict()
 
 
-def test_pass_manager_ppart_window_and_batch_knobs_run() -> None:
-    """Token-level window/batch knobs reach partition_optimize unharmed."""
+def test_pass_manager_ppart_window_knob_runs() -> None:
+    """The token-level window knob reaches partition_optimize unharmed."""
     from repro.networks.structural_hash import structural_hash
 
     aig = epfl_benchmark("int2float")
     default_manager = PassManager("ppart(rw, jobs=1, max_gates=60)")
-    knobs_manager = PassManager("ppart(rw, jobs=1, max_gates=60, window=4, batch=4096)")
+    knobs_manager = PassManager("ppart(rw, jobs=1, max_gates=60, window=4)")
     base, base_flow = default_manager.run(aig.clone(), verify=True)
     tuned, tuned_flow = knobs_manager.run(aig.clone(), verify=True)
     assert base_flow.verified and tuned_flow.verified
-    # The knobs change dispatch/solver mechanics, never the result.
+    # The knob changes solver mechanics, never the result.
     assert structural_hash(base) == structural_hash(tuned)
     details = tuned_flow.passes[0].details
-    assert int(details["ppart_batches"]) >= 1
+    # One dispatch job per region with visible outputs.
+    active = [p for p in tuned_flow.passes[0].partitions or [] if p["outputs"]]
+    assert int(details["ppart_batches"]) == len(active) >= 1
     assert int(details["ppart_wire_bytes"]) > 0
 
 

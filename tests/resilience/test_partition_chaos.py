@@ -84,11 +84,6 @@ def test_worker_fault_blast_radius_is_one_partition(seed: int, monkeypatch):
             region_timeout=1.5,
             fault_plan=faulted,
             fault_sleep=10.0,
-            # One job per region: this suite pins the *per-region* blast
-            # radius, so a hanging fault must not share a batch with
-            # healthy regions (test_partition_batch_chaos covers the
-            # batched blast radius).
-            batch_bytes=0,
         )
     finally:
         executor.close()
@@ -127,7 +122,6 @@ def test_all_workers_faulted_returns_the_input(monkeypatch):
             max_gates=MAX_GATES,
             executor=executor,
             fault_plan={region.index: "exception" for region in regions},
-            batch_bytes=0,
         )
     finally:
         executor.close()

@@ -4,11 +4,17 @@ The partition and service worker pools attach one parent-published blob
 instead of each re-enumerating (and privately holding) the exact tables.
 These tests pin the record format round-trip against the enumerated
 dicts, the full publish -> attach -> lookup -> detach lifecycle inside a
-single process (the thread-executor path uses exactly this), and the
-failure contract: a dead descriptor leaves the library untouched.
+single process (the thread-executor path uses exactly this), the
+failure contract (a dead descriptor leaves the library untouched), and
+a clean interpreter exit after a spawned-pool run.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -119,3 +125,25 @@ def test_file_fallback_descriptor_attaches(tmp_path) -> None:
     reference_bits = next(iter(default_library()._exact_entries(2)))
     assert library._exact_by_arity[2][reference_bits]
     detach_shared_library()
+
+
+def test_spawned_pool_run_exits_without_tracker_traceback() -> None:
+    # Spawned pool workers share the parent's resource tracker.  If an
+    # attaching worker unregisters the segment there, the parent's unlink
+    # at exit unregisters a name the tracker no longer holds, and the
+    # tracker prints a KeyError traceback after the run succeeded.
+    code = (
+        "from repro.circuits import random_aig\n"
+        "from repro.rewriting.passes import PassManager\n"
+        "aig = random_aig(num_pis=12, num_gates=300, num_pos=6, seed=1)\n"
+        "PassManager('ppart(rw, jobs=2, max_gates=40)').run(aig)\n"
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=240
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert "Traceback" not in completed.stderr, completed.stderr
+    assert "KeyError" not in completed.stderr, completed.stderr

@@ -133,7 +133,7 @@ class TestOrderDrivers:
         gates = list(aig.gates())
         nodes = list(aig.nodes())
         for candidate in rng.sample(gates, 40):
-            cone = manager.bounded_tfi(candidate)
+            cone = frozenset(aig.tfi([candidate], limit=limit))
             earlier = [node for node in nodes if node < candidate]
             for count in (0, 1, 2, 7, len(earlier)):
                 drivers = rng.sample(earlier, min(count, len(earlier)))
@@ -145,7 +145,7 @@ class TestOrderDrivers:
         manager = TfiManager(aig, limit=5)
         candidate = max(aig.gates())
         assert len(aig.tfi([candidate])) > 5
-        cone = manager.bounded_tfi(candidate)
+        cone = frozenset(aig.tfi([candidate], limit=5))
         drivers = [node for node in aig.nodes() if node < candidate]
         ordered = manager.order_drivers(candidate, drivers)
         assert ordered[: len(cone) - 1] == sorted(cone - {candidate})

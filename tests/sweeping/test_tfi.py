@@ -7,26 +7,16 @@ from repro.sweeping import TfiManager
 
 
 class TestTfiManager:
-    def test_bounded_tfi_respects_limit(self, ripple_adder_4):
+    def test_order_drivers_respects_limit(self, ripple_adder_4):
         manager = TfiManager(ripple_adder_4, limit=5)
         po_node = Aig.node_of(ripple_adder_4.pos[-1])
-        cone = manager.bounded_tfi(po_node)
+        cone = frozenset(ripple_adder_4.tfi([po_node], limit=5))
         assert len(cone) <= 5
         assert po_node in cone
-
-    def test_cache_returns_same_object(self, small_aig):
-        manager = TfiManager(small_aig, limit=100)
-        node = Aig.node_of(small_aig.pos[0])
-        assert manager.bounded_tfi(node) is manager.bounded_tfi(node)
-        manager.invalidate()
-        assert manager.bounded_tfi(node) == manager.bounded_tfi(node)
-
-    def test_in_bounded_tfi(self, small_aig):
-        manager = TfiManager(small_aig, limit=1000)
-        po_node = Aig.node_of(small_aig.pos[0])
-        fanin0, _ = small_aig.fanins(po_node)
-        assert manager.in_bounded_tfi(Aig.node_of(fanin0), po_node)
-        assert not manager.in_bounded_tfi(po_node, Aig.node_of(fanin0)) or Aig.node_of(fanin0) == po_node
+        drivers = [node for node in ripple_adder_4.nodes() if node < po_node]
+        assert manager.order_drivers(po_node, drivers) == sorted(
+            drivers, key=lambda d: (d not in cone, d)
+        )
 
     def test_is_legal_merge_rejects_cycles(self):
         aig = Aig()
